@@ -10,14 +10,17 @@
 //
 // Figures: 4 (attestation latency), 5 (classification latency across
 // runtimes), 6 (file-system shield effect), 7 (scale-up/scale-out),
-// 8 (distributed training), 8-async (bounded-staleness consistency
-// sweep with a straggler), 8-compress (gradient codecs on the push
-// path, TLS × {none, int8, top-k}), tf-vs-tflite (§5.3 #4 comparison),
-// elastic (challenge ➍: attesting an autoscaling wave, CAS vs IAS).
+// 8 (distributed training), 8-shards (sharded parameter-server sweep),
+// 8-async (bounded-staleness consistency sweep with a straggler),
+// 8-compress (gradient codecs on the push path, TLS × {none, int8,
+// top-k}), 9-elastic (worker elasticity across a mid-job kill),
+// tf-vs-tflite (§5.3 #4 comparison), elastic (challenge ➍: attesting an
+// autoscaling wave, CAS vs IAS).
 //
 // Absolute numbers come from the calibrated virtual-time cost model and
-// are not expected to match the paper's testbed; EXPERIMENTS.md records
-// the paper-vs-measured comparison and shape checks.
+// are not expected to match the paper's testbed. The shape tests in
+// internal/experiments check orderings and pin deterministic outputs;
+// BENCH_baseline.json records the gated benchmark values.
 package main
 
 import (
@@ -39,7 +42,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("securetf-bench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, 8, 8-async, 8-compress, tf-vs-tflite, all")
+		fig     = fs.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, 8, 8-shards, 8-async, 8-compress, 9-elastic, tf-vs-tflite, elastic, all")
 		runs    = fs.Int("runs", 0, "classification runs averaged per point (paper: 1000)")
 		images  = fs.Int("images", 0, "figure 7 batch size (paper: 800)")
 		steps   = fs.Int("steps", 0, "figure 8 training steps")
@@ -54,75 +57,20 @@ func run(args []string, w io.Writer) error {
 		cfg.Log = os.Stderr
 	}
 
-	type figure struct {
+	figures := []struct {
 		name string
 		run  func() error
-	}
-	figures := []figure{
-		{"4", func() error {
-			rows, err := experiments.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure4(w, rows)
-			return nil
-		}},
-		{"5", func() error {
-			rows, err := experiments.Figure5(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure5(w, rows)
-			return nil
-		}},
-		{"6", func() error {
-			rows, err := experiments.Figure6(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure6(w, rows)
-			return nil
-		}},
-		{"7", func() error {
-			rows, err := experiments.Figure7(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure7(w, rows)
-			return nil
-		}},
-		{"8", func() error {
-			rows, err := experiments.Figure8(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8(w, rows)
-			return nil
-		}},
-		{"8-async", func() error {
-			rows, err := experiments.Figure8Async(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8Async(w, rows)
-			return nil
-		}},
-		{"8-compress", func() error {
-			rows, err := experiments.Figure8Compress(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8Compress(w, rows)
-			return nil
-		}},
-		{"tf-vs-tflite", func() error {
-			rows, err := experiments.TFvsTFLite(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTFvsTFLite(w, rows)
-			return nil
-		}},
+	}{
+		{"4", table(cfg, w, experiments.Figure4, experiments.PrintFigure4)},
+		{"5", table(cfg, w, experiments.Figure5, experiments.PrintFigure5)},
+		{"6", table(cfg, w, experiments.Figure6, experiments.PrintFigure6)},
+		{"7", table(cfg, w, experiments.Figure7, experiments.PrintFigure7)},
+		{"8", table(cfg, w, experiments.Figure8, experiments.PrintFigure8)},
+		{"8-shards", table(cfg, w, experiments.Figure8Shards, experiments.PrintFigure8Shards)},
+		{"8-async", table(cfg, w, experiments.Figure8Async, experiments.PrintFigure8Async)},
+		{"8-compress", table(cfg, w, experiments.Figure8Compress, experiments.PrintFigure8Compress)},
+		{"9-elastic", table(cfg, w, experiments.Figure9Elastic, experiments.PrintFigure9Elastic)},
+		{"tf-vs-tflite", table(cfg, w, experiments.TFvsTFLite, experiments.PrintTFvsTFLite)},
 		{"elastic", func() error {
 			const wave = 4
 			casTotal, iasTotal, err := experiments.ElasticScaling(wave)
@@ -148,7 +96,19 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, 8, 8-async, 8-compress, tf-vs-tflite, elastic or all)", *fig)
+		return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, 8, 8-shards, 8-async, 8-compress, 9-elastic, tf-vs-tflite, elastic or all)", *fig)
 	}
 	return nil
+}
+
+// table runs one figure's experiment and prints its rows.
+func table[R any](cfg experiments.Config, w io.Writer, figure func(experiments.Config) ([]R, error), render func(io.Writer, []R)) func() error {
+	return func() error {
+		rows, err := figure(cfg)
+		if err != nil {
+			return err
+		}
+		render(w, rows)
+		return nil
+	}
 }

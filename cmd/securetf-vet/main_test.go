@@ -95,7 +95,7 @@ func TestRun(t *testing.T) {
 			args: []string{"-list"},
 			exit: 0,
 			wantOut: []string{
-				"blockingsyscall", "deprecatedapi", "detrand",
+				"blockingsyscall", "detrand",
 				"nowallclock", "shieldedfs", "wirealloc",
 			},
 		},

@@ -74,10 +74,7 @@
 // surface: ServeModels/DialModelServer take a single config struct
 // (ModelServerConfig, ModelClientConfig) and a request with an empty
 // model name resolves to DefaultModelName, so single-model deployments
-// need no separate API. The historical single-model pair
-// (ServeInference/DialInference with their InferenceService/
-// InferenceClient types) remains only as deprecated thin wrappers over
-// this surface — migrate by registering the model explicitly:
+// need no separate API — register the one model under the default name:
 //
 //	gw, _ := securetf.ServeModels(c, securetf.ModelServerConfig{Addr: addr})
 //	_ = gw.Register(securetf.DefaultModelName, 1, model)
@@ -369,10 +366,6 @@
 //     Runtime.BlockingSyscall via the container wrappers.
 //   - wirealloc: an integer decoded from wire bytes is bounds-checked
 //     before it sizes a make() or bounds an append loop.
-//   - deprecatedapi: symbols carrying a "Deprecated:" notice (and the
-//     retired serving facade aliases) are not used in new code or
-//     tests; serve.go and doc.go stay exempt as the compatibility and
-//     migration surface.
 //
 // A reviewed exception is annotated on the offending line, or the line
 // above it, with a mandatory reason:

@@ -4,14 +4,13 @@
 // library (the module is dependency-free by policy, so the x/tools
 // driver cannot be vendored in).
 //
-// Six analyzers enforce the properties doc.go promises:
+// Five analyzers enforce the properties doc.go promises:
 //
 //   - nowallclock:     no ambient wall clock in vtime-accounted packages
 //   - detrand:         no global math/rand in deterministic-trajectory code
 //   - shieldedfs:      no direct os file I/O outside the FS shield
 //   - blockingsyscall: no raw net conns/listeners outside the SCONE ring
 //   - wirealloc:       no attacker-sized allocations in wire decoders
-//   - deprecatedapi:   no calls to deprecated facade symbols
 //
 // A finding is suppressed by an annotated directive on the offending
 // line (or the line above it):
@@ -45,11 +44,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the help text; the first line is the summary.
 	Doc string
-	// IncludeTests keeps diagnostics in _test.go files. Most
-	// invariants bind production code only (tests freely fake wall
-	// clocks or raw sockets), but e.g. deprecated-API hygiene covers
-	// tests too.
-	IncludeTests bool
 	// Run inspects one type-checked package and reports findings.
 	Run func(*Pass) error
 }
@@ -92,7 +86,6 @@ func All() []*Analyzer {
 		ShieldedFS,
 		BlockingSyscall,
 		WireAlloc,
-		DeprecatedAPI,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
@@ -108,11 +101,10 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// RunPackage applies the analyzers to one type-checked package,
-// drops diagnostics in _test.go files for analyzers that exclude
-// tests, applies //securetf:allow suppressions, and appends a
-// diagnostic for every malformed directive. The returned slice is
-// sorted by position.
+// RunPackage applies the analyzers to one type-checked package, drops
+// diagnostics in _test.go files, applies //securetf:allow
+// suppressions, and appends a diagnostic for every malformed
+// directive. The returned slice is sorted by position.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, module string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	// Directives are validated against the full suite, not the enabled
 	// subset: running one analyzer must not misreport another's
@@ -133,7 +125,9 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 		for _, d := range pass.diags {
 			position := fset.Position(d.Pos)
-			if !a.IncludeTests && strings.HasSuffix(position.Filename, "_test.go") {
+			// The invariants bind production code only: tests freely
+			// fake wall clocks or raw sockets.
+			if strings.HasSuffix(position.Filename, "_test.go") {
 				continue
 			}
 			if dirs.suppresses(a.Name, position) {
@@ -170,12 +164,6 @@ func inScope(pkgPath string, segments ...string) bool {
 		}
 	}
 	return false
-}
-
-// inModule reports whether pkgPath belongs to the module under
-// analysis. An empty module (fixtures, ad-hoc runs) counts as inside.
-func inModule(pkgPath, module string) bool {
-	return module == "" || pkgPath == module || strings.HasPrefix(pkgPath, module+"/")
 }
 
 // fileBase returns the basename of the file containing pos.

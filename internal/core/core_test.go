@@ -2,18 +2,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/fsapi"
-	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/shield/fsshield"
-	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tflite"
 )
 
@@ -210,166 +205,6 @@ func TestProvisionRollbackDetection(t *testing.T) {
 	_, err := fsapi.ReadFile(c.FS(), "volumes/data/state.bin")
 	if !errors.Is(err, fsshield.ErrRolledBack) {
 		t.Fatalf("err = %v, want ErrRolledBack via CAS audit", err)
-	}
-}
-
-func TestInferenceServiceEndToEnd(t *testing.T) {
-	// Train a tiny model, freeze, convert, serve it from a shielded
-	// container and classify over mutual TLS — the §6.1 deployment shape.
-	h := models.MNISTMLP(77)
-	sess := tf.NewSession(h.Graph)
-	defer sess.Close()
-	frozen, fx, fl, err := models.FreezeForInference(h, sess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := tflite.Convert(frozen, []*tf.Node{fx}, []*tf.Node{fl}, tflite.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ca, err := seccrypto.NewCA("test-ca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverCert, err := ca.Issue("worker-0", "localhost", "127.0.0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientCert, err := ca.Issue("client-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	server := launchContainer(t, RuntimeSconeHW)
-	if err := server.UseIdentity(serverCert, ca, true); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewInferenceService(server, model, "127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	clientContainer := launchContainer(t, RuntimeNativeGlibc)
-	if err := clientContainer.UseIdentity(clientCert, ca, false); err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewInferenceClient(clientContainer, svc.Addr(), "worker-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	input := tf.RandNormal(tf.Shape{3, 28, 28, 1}, 1, 5)
-	classes, err := client.Classify(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 3 {
-		t.Fatalf("classes = %v", classes)
-	}
-	for _, cls := range classes {
-		if cls < 0 || cls >= 10 {
-			t.Fatalf("class %d out of range", cls)
-		}
-	}
-	if svc.Served() != 1 {
-		t.Fatalf("served = %d", svc.Served())
-	}
-}
-
-// buildServiceModel freezes and converts a small MLP for service tests.
-func buildServiceModel(t *testing.T) *tflite.Model {
-	t.Helper()
-	h := models.MNISTMLP(77)
-	sess := tf.NewSession(h.Graph)
-	defer sess.Close()
-	frozen, fx, fl, err := models.FreezeForInference(h, sess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := tflite.Convert(frozen, []*tf.Node{fx}, []*tf.Node{fl}, tflite.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return model
-}
-
-func TestInferenceServiceCloseWithIdleConnection(t *testing.T) {
-	server := launchContainer(t, RuntimeSconeHW)
-	svc, err := NewInferenceService(server, buildServiceModel(t), "127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A client that classified once and then parks on the open
-	// connection used to pin Close in wg.Wait forever.
-	clientC := launchContainer(t, RuntimeNativeGlibc)
-	client, err := NewInferenceClient(clientC, svc.Addr(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Classify(tf.RandNormal(tf.Shape{1, 28, 28, 1}, 1, 5)); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- svc.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung while a client held its connection open")
-	}
-}
-
-func TestInferenceClientConcurrentClassify(t *testing.T) {
-	server := launchContainer(t, RuntimeSconeHW)
-	svc, err := NewInferenceService(server, buildServiceModel(t), "127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	clientC := launchContainer(t, RuntimeNativeGlibc)
-	client, err := NewInferenceClient(clientC, svc.Addr(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	// Concurrent Classify calls on one client must not interleave frames
-	// on the shared connection (run with -race to check the locking).
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				classes, err := client.Classify(tf.RandNormal(tf.Shape{2, 28, 28, 1}, 1, int64(i*10+j)))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(classes) != 2 {
-					errs <- fmt.Errorf("classified %d rows, want 2", len(classes))
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := svc.Served(); got != 40 {
-		t.Fatalf("served = %d, want 40", got)
 	}
 }
 

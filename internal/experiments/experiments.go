@@ -4,10 +4,17 @@
 // Print helpers render them as text tables. The cmd/securetf-bench
 // binary and the repository-root benchmarks drive these harnesses.
 //
+// The distributed-training figures (the Figure 8 family and Figure 9)
+// run through the public facade an application uses —
+// securetf.TrainDistributed, or its Launch/StartParameterServer/
+// StartTrainingWorker parts where a figure schedules steps itself — so
+// they measure the same cluster assembly path applications get.
+//
 // Absolute numbers come from the calibrated virtual-time cost model and
-// are not expected to match the paper's testbed; EXPERIMENTS.md records
-// paper-vs-measured values and the shape checks in experiments_test.go
-// assert that orderings, overhead bands and crossovers hold.
+// are not expected to match the paper's testbed. The shape tests in this
+// package assert that orderings, overhead bands and crossovers hold and
+// pin the deterministic outputs exactly; BENCH_baseline.json records the
+// gated benchmark values.
 package experiments
 
 import (
@@ -18,7 +25,6 @@ import (
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/sgx"
-	"github.com/securetf/securetf/internal/tflite"
 )
 
 // Config tunes experiment sizes so tests, benches and the CLI can trade
@@ -64,25 +70,6 @@ func (c Config) logf(format string, args ...any) {
 	if c.Log != nil {
 		fmt.Fprintf(c.Log, format+"\n", args...)
 	}
-}
-
-// TFLiteImage is the TensorFlow Lite application image: the paper
-// measures its binary at 1.9 MB.
-func TFLiteImage() sgx.Image {
-	return sgx.SyntheticImage("tensorflow-lite", tflite.BinarySize, 4<<20)
-}
-
-// TFFullBinaryBytes is the full TensorFlow binary size the paper reports
-// (87.4 MB).
-const TFFullBinaryBytes int64 = 87*1024*1024 + 400*1024
-
-// TFFullHeapBytes models the full TensorFlow runtime's writable heap:
-// allocator arenas, graph structures and protobuf state.
-const TFFullHeapBytes int64 = 32 << 20
-
-// TFFullImage is the full TensorFlow application image.
-func TFFullImage() sgx.Image {
-	return sgx.SyntheticImage("tensorflow-full", TFFullBinaryBytes, TFFullHeapBytes)
 }
 
 // newPlatform builds a fresh platform with default calibration.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	securetf "github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/models"
@@ -61,7 +62,7 @@ func classifyLatency(kind core.RuntimeKind, model *tflite.Model, input *tf.Tenso
 	c, err := core.Launch(core.Config{
 		Kind:     kind,
 		Platform: platform,
-		Image:    TFLiteImage(),
+		Image:    securetf.TFLiteImage(),
 		HostFS:   fsapi.NewMem(),
 		Threads:  threads,
 	})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	securetf "github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/models"
@@ -92,7 +93,7 @@ func fspfLatency(kind core.RuntimeKind, fspf bool, modelRaw []byte, input *tf.Te
 	ccfg := core.Config{
 		Kind:     kind,
 		Platform: platform,
-		Image:    TFLiteImage(),
+		Image:    securetf.TFLiteImage(),
 		HostFS:   host,
 		Threads:  1,
 	}

@@ -3,17 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/fsapi"
+	securetf "github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/models"
-	"github.com/securetf/securetf/internal/seccrypto"
-	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
-	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // Fig8Row is one point of Figure 8: end-to-end distributed training
@@ -29,17 +23,17 @@ type Fig8Row struct {
 // fig8System describes one Figure 8 series.
 type fig8System struct {
 	label string
-	kind  core.RuntimeKind
+	kind  securetf.RuntimeKind
 	tls   bool
 }
 
 func fig8Systems() []fig8System {
 	return []fig8System{
-		{"Native", core.RuntimeNativeGlibc, false},
-		{"secureTF SIM w/o TLS", core.RuntimeSconeSIM, false},
-		{"secureTF SIM", core.RuntimeSconeSIM, true},
-		{"secureTF HW w/o TLS", core.RuntimeSconeHW, false},
-		{"secureTF HW", core.RuntimeSconeHW, true},
+		{"Native", securetf.NativeGlibc, false},
+		{"secureTF SIM w/o TLS", securetf.SconeSIM, false},
+		{"secureTF SIM", securetf.SconeSIM, true},
+		{"secureTF HW w/o TLS", securetf.SconeHW, false},
+		{"secureTF HW", securetf.SconeHW, true},
 	}
 }
 
@@ -54,14 +48,14 @@ func Figure8(cfg Config) ([]Fig8Row, error) {
 	var rows []Fig8Row
 	for _, sys := range fig8Systems() {
 		for _, workers := range []int{1, 2, 3} {
-			stats, err := fig8Run(cfg, sys, workers, 1, dist.NoCompression())
+			res, err := fig8Train(cfg, sys, workers, 1, securetf.NoGradCompression())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig8 %s workers=%d: %w", sys.label, workers, err)
 			}
-			cfg.logf("fig8: %-22s workers=%d %9.2f s (loss %.3f)", sys.label, workers, stats.Latency.Seconds(), stats.FinalLoss)
+			cfg.logf("fig8: %-22s workers=%d %9.2f s (loss %.3f)", sys.label, workers, res.Latency.Seconds(), res.FinalLoss)
 			rows = append(rows, Fig8Row{
 				System: sys.label, Workers: workers, Steps: cfg.Steps,
-				Latency: stats.Latency, FinalLoss: stats.FinalLoss,
+				Latency: res.Latency, FinalLoss: res.FinalLoss,
 			})
 		}
 	}
@@ -97,27 +91,27 @@ type Fig8ShardRow struct {
 // worker's ~1.8 MB gradient push.
 func Figure8Shards(cfg Config) ([]Fig8ShardRow, error) {
 	cfg = cfg.withDefaults()
-	sys := fig8System{"secureTF HW", core.RuntimeSconeHW, true}
+	sys := fig8System{"secureTF HW", securetf.SconeHW, true}
 	var rows []Fig8ShardRow
 	var base time.Duration
 	for _, point := range []struct{ workers, shards int }{
 		{1, 1}, {2, 1}, {4, 1}, {4, 2}, {4, 4},
 	} {
-		stats, err := fig8Run(cfg, sys, point.workers, point.shards, dist.NoCompression())
+		res, err := fig8Train(cfg, sys, point.workers, point.shards, securetf.NoGradCompression())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig8 shards %s workers=%d shards=%d: %w",
 				sys.label, point.workers, point.shards, err)
 		}
 		if base == 0 {
-			base = stats.Latency
+			base = res.Latency
 		}
 		row := Fig8ShardRow{
 			System: sys.label, Workers: point.workers, Shards: point.shards, Steps: cfg.Steps,
-			Latency: stats.Latency, PushWirePerShard: stats.PushWirePerShard,
-			FinalLoss: stats.FinalLoss, Speedup1W: float64(base) / float64(stats.Latency),
+			Latency: res.Latency, PushWirePerShard: res.PushWirePerShard,
+			FinalLoss: res.FinalLoss, Speedup1W: float64(base) / float64(res.Latency),
 		}
 		cfg.logf("fig8-shards: %-22s workers=%d shards=%d %9.2f s (push wire/shard %v, speedup %.2fx)",
-			sys.label, point.workers, point.shards, stats.Latency.Seconds(), stats.PushWirePerShard, row.Speedup1W)
+			sys.label, point.workers, point.shards, res.Latency.Seconds(), res.PushWirePerShard, row.Speedup1W)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -133,215 +127,36 @@ func PrintFigure8Shards(w io.Writer, rows []Fig8ShardRow) {
 	}
 }
 
-// fig8Run trains for cfg.Steps synchronous rounds against a parameter
-// server sharded across `shards` nodes. Each worker processes its own
-// data shard; the total dataset size is fixed, so more workers means
-// smaller shards and (with synchronized rounds) the same global progress
-// per step at less per-node wall time — the source of the speedup. More
-// PS shards fan the same parameter traffic across more nodes, shrinking
-// the per-shard wire time that bottlenecks the single-PS deployment.
-// comp selects the push-path gradient codec (NoCompression for the
-// classic runs); it is wired into every shard and worker so the
-// handshakes agree.
-func fig8Run(cfg Config, sys fig8System, workers, shards int, comp dist.Compression) (fig8Stats, error) {
-	// TLS material for the shielded variants.
-	var ca *seccrypto.CA
-	var err error
-	if sys.tls {
-		ca, err = seccrypto.NewCA("fig8-ca")
-		if err != nil {
-			return fig8Stats{}, err
-		}
-	}
+// fig8LR is the learning rate of every training figure (the paper's
+// 0.0005).
+const fig8LR = 0.0005
 
-	// Parameter-server shard nodes, one enclave each.
-	ref := models.MNISTCNN(1)
-	initialVars := dist.InitialVars(ref.Graph)
-	psPlatforms := make([]*sgx.Platform, shards)
-	addrs := make([]string, shards)
-	for s := 0; s < shards; s++ {
-		psPlatform, err := newPlatform(fmt.Sprintf("ps-node-%d", s))
-		if err != nil {
-			return fig8Stats{}, err
-		}
-		psPlatforms[s] = psPlatform
-		psContainer, err := core.Launch(core.Config{
-			Kind:     sys.kind,
-			Platform: psPlatform,
-			Image:    TFFullImage(),
-			HostFS:   fsapi.NewMem(),
-		})
-		if err != nil {
-			return fig8Stats{}, err
-		}
-		defer psContainer.Close()
-		if sys.tls {
-			cert, err := ca.Issue(fmt.Sprintf("ps-%d", s), "ps", "localhost", "127.0.0.1")
-			if err != nil {
-				return fig8Stats{}, err
-			}
-			if err := psContainer.UseIdentity(cert, ca, true); err != nil {
-				return fig8Stats{}, err
-			}
-		}
-		psListener, err := psContainer.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fig8Stats{}, err
-		}
-		var varBytes int64
-		for _, v := range dist.ShardVars(initialVars, s, shards) {
-			varBytes += v.Bytes()
-		}
-		if e := psContainer.Enclave(); e != nil {
-			e.Alloc("ps/vars", varBytes)
-		}
-		psDev := psContainer.Device(1)
-		ps, err := dist.NewParameterServer(dist.PSConfig{
-			Listener:    psListener,
-			Vars:        initialVars,
-			Workers:     workers,
-			LR:          0.0005,
-			Clock:       psPlatform.Clock(),
-			Params:      psPlatform.Params(),
-			Shard:       s,
-			Shards:      shards,
-			Compression: comp,
-			ApplyMeter: func(flops, bytes int64) {
-				psDev.Compute(flops)
-				psDev.Access(bytes, false)
-			},
-		})
-		if err != nil {
-			return fig8Stats{}, err
-		}
-		defer ps.Close()
-		addrs[s] = psListener.Addr().String()
-	}
-
-	// Worker nodes. The training task is fixed (cfg.Steps rounds of
-	// cfg.BatchSize samples at one worker); N workers split it into
-	// ceil(Steps/N) synchronous rounds of N·BatchSize global samples —
-	// the source of the near-linear speedup the paper reports.
+// fig8Train trains the Figure 8 MNIST job through the facade's
+// TrainDistributed: `workers` synchronous workers against a parameter
+// server sharded across `shards` nodes, pushing through codec comp. The
+// training task is fixed (cfg.Steps rounds of cfg.BatchSize samples at
+// one worker); N workers split it into ceil(Steps/N) synchronous rounds
+// of N·BatchSize global samples — the source of the near-linear speedup
+// the paper reports. More PS shards fan the same parameter traffic
+// across more nodes, shrinking the per-shard wire time that bottlenecks
+// the single-PS deployment.
+func fig8Train(cfg Config, sys fig8System, workers, shards int, comp securetf.GradCompression) (*securetf.DistTrainResult, error) {
 	rounds := (cfg.Steps + workers - 1) / workers
-	results := make([]fig8WorkerStats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w], errs[w] = fig8Worker(cfg, sys, ca, addrs, w, rounds, comp)
-		}(w)
-	}
-	wg.Wait()
-	var stats fig8Stats
-	var pushWire time.Duration
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return fig8Stats{}, errs[w]
-		}
-		stats.FinalLoss += results[w].loss
-		pushWire += results[w].pushWire
-		stats.PushBytes += results[w].pushBytes
-		if results[w].clock > stats.Latency {
-			stats.Latency = results[w].clock
-		}
-	}
-	stats.FinalLoss /= float64(workers)
-	// Mean per-shard, per-round wire time of the gradient pushes: the
-	// bytes each PS shard's link carries per round. This is the
-	// bandwidth bottleneck sharding attacks — it shrinks as ~1/shards.
-	stats.PushWirePerShard = pushWire / time.Duration(shards*rounds)
-	// Mean wire bytes of one worker's full gradient push per round
-	// (summed over shards) — the quantity the codec shrinks.
-	stats.PushBytesPerRound = stats.PushBytes / int64(workers*rounds)
-
-	// End-to-end latency: message stamps keep every clock causally
-	// consistent, so the job finishes at the maximum over all nodes.
-	for _, p := range psPlatforms {
-		if t := p.Clock().Now(); t > stats.Latency {
-			stats.Latency = t
-		}
-	}
-	return stats, nil
-}
-
-// fig8Stats aggregates one fig8 run.
-type fig8Stats struct {
-	Latency           time.Duration
-	FinalLoss         float64
-	PushWirePerShard  time.Duration
-	PushBytes         int64 // total push frame bytes, all workers/shards/rounds
-	PushBytesPerRound int64 // mean per worker per round, summed over shards
-}
-
-// fig8WorkerStats is one worker's contribution.
-type fig8WorkerStats struct {
-	loss      float64
-	pushWire  time.Duration // summed over shards and rounds
-	pushBytes int64         // summed over shards and rounds
-	clock     time.Duration
-}
-
-func fig8Worker(cfg Config, sys fig8System, ca *seccrypto.CA, addrs []string, id, rounds int, comp dist.Compression) (fig8WorkerStats, error) {
-	platform, err := newPlatform(fmt.Sprintf("worker-node-%d", id))
-	if err != nil {
-		return fig8WorkerStats{}, err
-	}
-	container, err := core.Launch(core.Config{
-		Kind:     sys.kind,
-		Platform: platform,
-		Image:    TFFullImage(),
-		HostFS:   fsapi.NewMem(),
-	})
-	if err != nil {
-		return fig8WorkerStats{}, err
-	}
-	defer container.Close()
-	if sys.tls {
-		cert, err := ca.Issue(fmt.Sprintf("worker-%d", id))
-		if err != nil {
-			return fig8WorkerStats{}, err
-		}
-		if err := container.UseIdentity(cert, ca, false); err != nil {
-			return fig8WorkerStats{}, err
-		}
-	}
-
-	// Shard: each worker holds the samples for its rounds.
-	shard := cfg.BatchSize * rounds
-	xs, ys := syntheticMNISTShard(shard, int64(100+id))
-
-	h := models.MNISTCNN(1) // same initials on every replica
-	worker, err := dist.NewWorker(dist.WorkerConfig{
-		ID:    id,
-		Addrs: addrs,
-		Dial:  func(network, a string) (net.Conn, error) { return container.Dial(network, a, "ps") },
-		Model: dist.Model{
-			Graph: h.Graph, X: h.X, Y: h.Y, Loss: h.Loss, Logits: h.Logits,
-		},
-		XS: xs, YS: ys,
+	return securetf.TrainDistributed(securetf.DistTrainConfig{
+		Kind:        sys.kind,
+		TLS:         sys.tls,
+		Workers:     workers,
+		PSShards:    shards,
+		Rounds:      rounds,
 		BatchSize:   cfg.BatchSize,
-		Device:      container.Device(0),
-		Clock:       platform.Clock(),
-		Params:      platform.Params(),
+		LR:          fig8LR,
 		Compression: comp,
+		NewModel:    func() securetf.Model { return models.MNISTCNN(1) },
+		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+			xs, ys := syntheticMNISTShard(cfg.BatchSize*rounds, int64(100+w))
+			return xs, ys, nil
+		},
 	})
-	if err != nil {
-		return fig8WorkerStats{}, err
-	}
-	defer worker.Close()
-	if err := worker.RunSteps(rounds); err != nil {
-		return fig8WorkerStats{}, err
-	}
-	stats := fig8WorkerStats{loss: worker.LastLoss, clock: platform.Clock().Now()}
-	for _, d := range worker.PushWire() {
-		stats.pushWire += d
-	}
-	for _, n := range worker.PushBytes() {
-		stats.pushBytes += n
-	}
-	return stats, nil
 }
 
 // syntheticMNISTShard builds an in-memory learnable MNIST-like shard

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestFigure8AsyncShape pins the acceptance shape of the consistency
 // sweep at a reduced size: with a straggler in the cluster, every async
@@ -35,6 +38,25 @@ func TestFigure8AsyncShape(t *testing.T) {
 		}
 		if r.K >= 0 && r.K <= 8 && r.FinalLoss > sync.FinalLoss*1.1 {
 			t.Errorf("%s final loss %.4f exceeds sync %.4f + 10%%", r.Policy, r.FinalLoss, sync.FinalLoss)
+		}
+	}
+
+	// Exact pins: the discrete-event schedule makes every async row a
+	// deterministic function of seed and config.
+	for i, want := range []struct {
+		latency time.Duration
+		loss    float64
+		retries int
+	}{
+		{10173851564, 2.305433988571167, 16},
+		{10173851564, 2.305433750152588, 0},
+		{10173851564, 2.305433750152588, 0},
+		{10173851564, 2.305433750152588, 0},
+	} {
+		r := rows[i+1]
+		if r.Latency != want.latency || r.FinalLoss != want.loss || r.Retries != want.retries {
+			t.Errorf("%s: latency %v, loss %v, %d retries; pinned %v, %v, %d",
+				r.Policy, r.Latency, r.FinalLoss, r.Retries, want.latency, want.loss, want.retries)
 		}
 	}
 

@@ -3,15 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/fsapi"
+	securetf "github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/models"
-	"github.com/securetf/securetf/internal/sgx"
-	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // fig9Timeout is the elastic barrier's detection window: how long a
@@ -83,148 +78,45 @@ func Figure9Elastic(cfg Config) ([]Fig9Row, error) {
 	return rows, nil
 }
 
-// fig9Run trains `rounds` synchronous rounds on an elastic barrier.
-// When killAt ≥ 0 the last worker stops stepping after killAt rounds
-// and closes its connections — the crash the barrier must absorb.
+// fig9Run trains `rounds` synchronous rounds on an elastic barrier
+// through the facade's TrainDistributed. When killAt ≥ 0 a fault plan
+// kills the last worker before round killAt — the crash the barrier
+// must absorb.
 func fig9Run(cfg Config, workers, shards, rounds, killAt int) (Fig9Row, error) {
-	ref := models.MNISTCNN(1)
-	initialVars := dist.InitialVars(ref.Graph)
-	psPlats := make([]*sgx.Platform, shards)
-	workerPlats := make([]*sgx.Platform, workers)
-	addrs := make([]string, shards)
-	servers := make([]*dist.ParameterServer, shards)
-	for s := 0; s < shards; s++ {
-		plat, err := newPlatform(fmt.Sprintf("fig9-ps-%d", s))
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		psPlats[s] = plat
-		container, err := core.Launch(core.Config{
-			Kind:     core.RuntimeSconeHW,
-			Platform: plat,
-			Image:    TFFullImage(),
-			HostFS:   fsapi.NewMem(),
-		})
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		defer container.Close()
-		ln, err := container.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		psDev := container.Device(1)
-		ps, err := dist.NewParameterServer(dist.PSConfig{
-			Listener:     ln,
-			Vars:         initialVars,
-			Workers:      workers,
-			Shard:        s,
-			Shards:       shards,
-			LR:           0.0005,
-			Clock:        plat.Clock(),
-			Params:       plat.Params(),
-			Elastic:      true,
-			MinWorkers:   1,
-			RoundTimeout: fig9Timeout,
-			ApplyMeter: func(flops, bytes int64) {
-				psDev.Compute(flops)
-				psDev.Access(bytes, false)
-			},
-		})
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		defer ps.Close()
-		servers[s] = ps
-		addrs[s] = ln.Addr().String()
-	}
-
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		steps := rounds
-		if killAt >= 0 && w == workers-1 {
-			steps = killAt
-		}
-		wg.Add(1)
-		go func(w, steps int) {
-			defer wg.Done()
-			plat, err := newPlatform(fmt.Sprintf("fig9-worker-%d", w))
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			workerPlats[w] = plat
-			container, err := core.Launch(core.Config{
-				Kind:     core.RuntimeSconeHW,
-				Platform: plat,
-				Image:    TFFullImage(),
-				HostFS:   fsapi.NewMem(),
-			})
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer container.Close()
-			xs, ys := syntheticMNISTShard(cfg.BatchSize*rounds, int64(900+w))
-			h := models.MNISTCNN(1)
-			worker, err := dist.NewWorker(dist.WorkerConfig{
-				ID:    w,
-				Addrs: addrs,
-				Dial:  func(network, a string) (net.Conn, error) { return container.Dial(network, a, "") },
-				Model: dist.Model{Graph: h.Graph, X: h.X, Y: h.Y, Loss: h.Loss, Logits: h.Logits},
-				XS:    xs, YS: ys,
-				BatchSize: cfg.BatchSize,
-				Device:    container.Device(0),
-				Clock:     plat.Clock(),
-				Params:    plat.Params(),
-			})
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer worker.Close()
-			if err := worker.RunSteps(steps); err != nil {
-				errs[w] = err
-			}
-		}(w, steps)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Fig9Row{}, err
-		}
-	}
-
-	row := Fig9Row{Workers: workers, Shards: shards}
+	var plan *securetf.FaultPlan
 	if killAt >= 0 {
+		var err error
+		if plan, err = securetf.ParseFaultPlan(fmt.Sprintf("kill:w%d@r%d", workers-1, killAt)); err != nil {
+			return Fig9Row{}, err
+		}
+	}
+	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
+		Kind:      securetf.SconeHW,
+		Workers:   workers,
+		PSShards:  shards,
+		Rounds:    rounds,
+		BatchSize: cfg.BatchSize,
+		LR:        fig8LR,
+		NewModel:  func() securetf.Model { return models.MNISTCNN(1) },
+		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+			xs, ys := syntheticMNISTShard(cfg.BatchSize*rounds, int64(900+w))
+			return xs, ys, nil
+		},
+		RoundTimeout: fig9Timeout,
+		Elastic:      true,
+		MinWorkers:   1,
+		Chaos:        plan,
+	})
+	if err != nil {
+		return Fig9Row{}, err
+	}
+	row := Fig9Row{
+		Workers: workers, Shards: shards, Rounds: res.Rounds, Latency: res.Latency,
+		Evictions: res.Evictions, Rejoins: res.Rejoins, ShrunkRounds: res.ShrunkRounds,
+		RoundsPerSec: float64(res.Rounds) / res.Latency.Seconds(),
+	}
+	if plan != nil {
 		row.Kills = 1
-	}
-	for s, ps := range servers {
-		if r := ps.Rounds(); s == 0 || r < row.Rounds {
-			row.Rounds = r
-		}
-		st := ps.Stats()
-		if st.Evictions > row.Evictions {
-			row.Evictions = st.Evictions
-		}
-		if st.Rejoins > row.Rejoins {
-			row.Rejoins = st.Rejoins
-		}
-		if st.ShrunkRounds > row.ShrunkRounds {
-			row.ShrunkRounds = st.ShrunkRounds
-		}
-	}
-	if row.Rounds != rounds {
-		return Fig9Row{}, fmt.Errorf("experiments: fig9 committed %d rounds, want %d", row.Rounds, rounds)
-	}
-	for _, p := range append(append([]*sgx.Platform(nil), psPlats...), workerPlats...) {
-		if t := p.Clock().Now(); t > row.Latency {
-			row.Latency = t
-		}
-	}
-	if row.Latency > 0 {
-		row.RoundsPerSec = float64(row.Rounds) / row.Latency.Seconds()
 	}
 	return row, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	securetf "github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/models"
@@ -48,7 +49,7 @@ func TFvsTFLite(cfg Config) ([]TFvsTFLiteRow, error) {
 	c, err := core.Launch(core.Config{
 		Kind:     core.RuntimeSconeHW,
 		Platform: platform,
-		Image:    TFFullImage(),
+		Image:    securetf.TensorFlowImage(),
 		HostFS:   fsapi.NewMem(),
 		Threads:  1,
 	})
@@ -77,7 +78,7 @@ func TFvsTFLite(cfg Config) ([]TFvsTFLiteRow, error) {
 	tfLatency := span.Stop()
 
 	rows := []TFvsTFLiteRow{
-		{Engine: "TensorFlow", BinaryBytes: TFFullBinaryBytes, ModelBytes: spec.FileBytes, Latency: tfLatency},
+		{Engine: "TensorFlow", BinaryBytes: securetf.TFFullBinaryBytes, ModelBytes: spec.FileBytes, Latency: tfLatency},
 		{Engine: "TensorFlow Lite", BinaryBytes: tflite.BinarySize, ModelBytes: spec.FileBytes, Latency: liteLatency},
 	}
 	cfg.logf("tf-vs-tflite: TF %.2f s vs TFLite %.2f s (%.0fx)",

@@ -268,13 +268,15 @@ func (c *Client) roundTrip(conn net.Conn, req *dist.Message) (*dist.Message, err
 
 // Run participates until the coordinator reports training complete.
 // Every network action is taken under a turnstile turn when one is
-// configured, so concurrent clients interleave deterministically.
+// configured, so concurrent clients interleave deterministically. The
+// connection stays open until Close: a client hanging up mid-job would
+// charge the coordinator's teardown to its clock at a wall-clock moment,
+// in between the peers it is still serving.
 func (c *Client) Run() error {
 	if c.cfg.Turnstile != nil {
 		c.cfg.Turnstile.Join(c.cfg.ID, c.cfg.Clock)
 		defer c.cfg.Turnstile.Leave(c.cfg.ID)
 	}
-	defer c.Close()
 	idle := 0
 	for {
 		release := c.cfg.Turnstile.turn(c.cfg.ID)

@@ -1,6 +1,7 @@
 package scone
 
 import (
+	"io"
 	"net"
 )
 
@@ -17,6 +18,18 @@ func (c *sysConn) Read(p []byte) (int, error) {
 	// Reads park until the peer sends; keep them out of the request
 	// ring so they cannot starve other threads' syscalls.
 	c.rt.BlockingSyscall(func() { n, err = c.Conn.Read(p) })
+	c.rt.CopyIn(n)
+	return n, err
+}
+
+// ReadFull fills p as one syscall submission. How many Read calls a
+// message takes depends on how the host kernel chunked it in wall time;
+// charging the whole read once keeps a framed receive's virtual cost a
+// function of the message alone.
+func (c *sysConn) ReadFull(p []byte) (int, error) {
+	var n int
+	var err error
+	c.rt.BlockingSyscall(func() { n, err = io.ReadFull(c.Conn, p) })
 	c.rt.CopyIn(n)
 	return n, err
 }

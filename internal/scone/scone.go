@@ -121,11 +121,14 @@ func (r *Runtime) Syscall(fn func()) {
 // parks those on the network poller, not in the bounded request ring:
 // a ring slot held for an unbounded wait would starve every other
 // thread's syscalls (and deadlock outright when a server and its
-// client share one runtime). The submission cost is charged exactly
-// like Syscall; only the wait happens outside the ring.
+// client share one runtime). The submission cost is the same as
+// Syscall's, but it is charged when the wait ends: charged up front it
+// would land at a wall-clock moment among other threads' charges to the
+// shared clock, while charged on return it lands in order with the
+// message or connection the call delivers.
 func (r *Runtime) BlockingSyscall(fn func()) {
-	r.enclave.AsyncSyscall()
 	fn()
+	r.enclave.AsyncSyscall()
 }
 
 // CopyIn charges the cost of moving n bytes across the enclave boundary

@@ -1,6 +1,7 @@
 package scone
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,6 +211,49 @@ func TestDialListenThroughRuntime(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockingSyscallChargesOnReturn pins where a parked wait's cost
+// lands: after the wait, in order with what it delivers, never while
+// other threads are still charging the shared clock.
+func TestBlockingSyscallChargesOnReturn(t *testing.T) {
+	rt := launchTestRuntime(t, sgx.ModeHW)
+	base := rt.Enclave().Stats().AsyncSyscalls
+	var during int64
+	rt.BlockingSyscall(func() { during = rt.Enclave().Stats().AsyncSyscalls })
+	if during != base {
+		t.Fatalf("charged %d syscalls before the wait ended", during-base)
+	}
+	if got := rt.Enclave().Stats().AsyncSyscalls - base; got != 1 {
+		t.Fatalf("charged %d syscalls, want 1", got)
+	}
+}
+
+// TestReadFullChargesOneSyscall pins the determinism property framed
+// receives rely on: however many chunks the bytes arrive in, ReadFull
+// is one syscall submission.
+func TestReadFullChargesOneSyscall(t *testing.T) {
+	rt := launchTestRuntime(t, sgx.ModeHW)
+	local, remote := net.Pipe()
+	defer remote.Close()
+	conn := &sysConn{rt: rt, Conn: local}
+	defer conn.Close()
+	go func() {
+		for _, chunk := range []string{"gra", "die", "nts"} {
+			remote.Write([]byte(chunk))
+		}
+	}()
+	base := rt.Enclave().Stats()
+	buf := make([]byte, len("gradients"))
+	if _, err := conn.ReadFull(buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "gradients" {
+		t.Fatalf("ReadFull = %q", buf)
+	}
+	if got := rt.Enclave().Stats().AsyncSyscalls - base.AsyncSyscalls; got != 1 {
+		t.Fatalf("ReadFull over 3 chunks charged %d syscalls, want 1", got)
 	}
 }
 

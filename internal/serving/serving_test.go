@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,6 +189,13 @@ func TestWireRoundTrip(t *testing.T) {
 	// default-model resolution happens above this layer.
 	if err := WriteRequest(&buf, WireRequest{Input: in}); err == nil {
 		t.Fatal("empty model name accepted on a non-list request")
+	}
+
+	// A hostile length prefix over the frame cap errors before the
+	// payload is allocated.
+	hostile := &writeBuffer{data: []byte{0xff, 0xff, 0xff, 0xff}}
+	if _, err := ReadRequest(hostile); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized frame: err = %v, want the frame cap", err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/tf"
 )
 
@@ -128,12 +127,12 @@ func WriteRequest(w io.Writer, req WireRequest) error {
 	payload = append(payload, req.Model...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(req.Version))
 	payload = append(payload, enc...)
-	return core.WriteFrame(w, payload)
+	return WriteFrame(w, payload)
 }
 
 // ReadRequest reads and decodes a request frame.
 func ReadRequest(r io.Reader) (WireRequest, error) {
-	payload, err := core.ReadFrame(r)
+	payload, err := ReadFrame(r)
 	if err != nil {
 		return WireRequest{}, err
 	}
@@ -189,12 +188,12 @@ func WriteResponse(w io.Writer, resp WireResponse) error {
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(resp.Version))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(resp.ServiceVtime))
 	payload = append(payload, body...)
-	return core.WriteFrame(w, payload)
+	return WriteFrame(w, payload)
 }
 
 // ReadResponse reads and decodes a response frame.
 func ReadResponse(r io.Reader) (WireResponse, error) {
-	payload, err := core.ReadFrame(r)
+	payload, err := ReadFrame(r)
 	if err != nil {
 		return WireResponse{}, err
 	}
@@ -217,4 +216,38 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 		resp.Message = string(body)
 	}
 	return resp, nil
+}
+
+// maxFrame bounds a length-prefixed frame on the wire, so a hostile
+// length prefix cannot size an allocation.
+const maxFrame = 1 << 30
+
+// WriteFrame writes one length-prefixed payload (4-byte little-endian
+// length, then the bytes). The router tier frames its handshake with it
+// too.
+func WriteFrame(w io.Writer, payload []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// ReadFrame reads one length-prefixed payload, enforcing maxFrame.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > maxFrame {
+		return nil, fmt.Errorf("serving: frame of %d bytes exceeds limit", n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }

@@ -504,7 +504,7 @@ func Receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*Message, er
 // consistent time (sender stamp plus half a LAN round trip).
 func receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*message, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := readFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
@@ -512,7 +512,7 @@ func receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*message, er
 		return nil, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	if _, err := readFull(conn, payload); err != nil {
 		return nil, err
 	}
 	m, err := decode(payload)
@@ -521,4 +521,14 @@ func receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*message, er
 	}
 	clock.AdvanceTo(time.Duration(m.Stamp) + params.LANRTT/2)
 	return m, nil
+}
+
+// readFull fills p from conn, as one syscall when the runtime's
+// connection offers it (scone's ReadFull), so the virtual cost of a
+// frame does not depend on how the kernel chunked its bytes.
+func readFull(conn net.Conn, p []byte) (int, error) {
+	if rf, ok := conn.(interface{ ReadFull([]byte) (int, error) }); ok {
+		return rf.ReadFull(p)
+	}
+	return io.ReadFull(conn, p)
 }

@@ -4,9 +4,7 @@
 // All enclave-related costs (EPC paging, enclave transitions, WAN round
 // trips, crypto throughput) are charged to a virtual clock rather than
 // slept on the wall clock. This keeps experiments deterministic and fast
-// while preserving the performance shape reported by the paper. Wall-clock
-// time of real computation can be mixed in by callers that want measured
-// mode (see Clock.ChargeWall).
+// while preserving the performance shape reported by the paper.
 package vtime
 
 import (

@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/experiments"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/shield/fsshield"
+	"github.com/securetf/securetf/internal/tflite"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -70,14 +70,24 @@ func SyntheticImage(name string, size, heapSize int64) Image {
 	return sgx.SyntheticImage(name, size, heapSize)
 }
 
+// TFFullBinaryBytes is the full TensorFlow binary size the paper reports
+// (87.4 MB).
+const TFFullBinaryBytes int64 = 87*1024*1024 + 400*1024
+
+// tfFullHeapBytes models the full TensorFlow runtime's writable heap:
+// allocator arenas, graph structures and protobuf state.
+const tfFullHeapBytes int64 = 32 << 20
+
 // TensorFlowImage is the full TensorFlow application image; the paper
 // measures its binary at 87.4 MB — close to the whole EPC.
-func TensorFlowImage() Image { return experiments.TFFullImage() }
+func TensorFlowImage() Image {
+	return sgx.SyntheticImage("tensorflow-full", TFFullBinaryBytes, tfFullHeapBytes)
+}
 
 // TFLiteImage is the TensorFlow Lite application image; the paper
 // measures its binary at 1.9 MB, the property that makes in-enclave
 // inference fast.
-func TFLiteImage() Image { return experiments.TFLiteImage() }
+func TFLiteImage() Image { return sgx.SyntheticImage("tensorflow-lite", tflite.BinarySize, 4<<20) }
 
 // FS is the writable file-system interface the runtimes and shields
 // implement and wrap.

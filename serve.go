@@ -244,82 +244,3 @@ func DialRouter(c *Container, cfg RouterClientConfig) (*RouterClient, error) {
 		Retry:        cfg.Retry,
 	})
 }
-
-// InferenceService is the deprecated single-model facade of the paper's
-// §4.2 classifier service: a thin wrapper running one Lite model as
-// DefaultModelName@1 on a ModelServer gateway.
-//
-// Deprecated: use ServeModels and register the model explicitly; the
-// wrapper remains only so existing single-model deployments keep
-// compiling.
-type InferenceService struct {
-	gw *serving.Gateway
-}
-
-// InferenceClient talks to an InferenceService.
-//
-// Deprecated: use DialModelServer (or DialRouter for a fleet); an empty
-// model name resolves to DefaultModelName on the same wire protocol.
-type InferenceClient struct {
-	cl *serving.Client
-}
-
-// ServeInference loads a Lite model and serves classification requests
-// on addr. It is the single-model form of ServeModels: the model is
-// registered as DefaultModelName@1 with one interpreter replica and no
-// batching, and the admission queue is deep enough to keep the original
-// service's never-reject contract for any plausible single-model load.
-//
-// Deprecated: use ServeModels with an explicit register —
-//
-//	gw, err := ServeModels(c, ModelServerConfig{Addr: addr,
-//	        ServingConfig: ServingConfig{Threads: threads, QueueCap: 1 << 16}})
-//	err = gw.Register(DefaultModelName, 1, model)
-func ServeInference(c *Container, model *LiteModel, addr string, threads int) (*InferenceService, error) {
-	gw, err := ServeModels(c, ModelServerConfig{
-		Addr:          addr,
-		ServingConfig: ServingConfig{Replicas: 1, Threads: threads, QueueCap: 1 << 16},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := gw.Register(DefaultModelName, 1, model); err != nil {
-		gw.Close()
-		return nil, err
-	}
-	return &InferenceService{gw: gw}, nil
-}
-
-// Addr returns the service address.
-func (s *InferenceService) Addr() string { return s.gw.Addr() }
-
-// Served reports how many requests completed.
-func (s *InferenceService) Served() int { return s.gw.Served() }
-
-// Gateway exposes the underlying ModelServer (register more models,
-// read metrics, hot-swap versions).
-func (s *InferenceService) Gateway() *ModelServer { return s.gw }
-
-// Close drains and stops the service.
-func (s *InferenceService) Close() error { return s.gw.Close() }
-
-// DialInference connects a container to an inference service.
-//
-// Deprecated: use DialModelServer; Classify with an empty model name
-// addresses the same default model.
-func DialInference(c *Container, addr, serverName string) (*InferenceClient, error) {
-	cl, err := DialModelServer(c, ModelClientConfig{Addr: addr, ServerName: serverName})
-	if err != nil {
-		return nil, err
-	}
-	return &InferenceClient{cl: cl}, nil
-}
-
-// Classify sends a batch to the service's default model and returns the
-// predicted class per row.
-func (cl *InferenceClient) Classify(input *Tensor) ([]int, error) {
-	return cl.cl.Classify(DefaultModelName, input)
-}
-
-// Close closes the client connection.
-func (cl *InferenceClient) Close() error { return cl.cl.Close() }
