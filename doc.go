@@ -344,6 +344,22 @@
 // package are deterministic and fast while preserving the performance
 // shape the paper reports; read latencies with Container.Clock.
 //
+// # Kernels
+//
+// Both engines run their dense inner loops through one package,
+// internal/kernels: the TensorFlow session's MatMul, Conv2D and conv
+// filter gradient, and the Lite interpreter's fully-connected and
+// Conv2D ops. Its fully-connected product streams each weight row once
+// per batch, not once per input row. Its Axpy (y += a·x) is SSE2
+// assembly on amd64. Each output still sums its products in ascending
+// order, and each product is rounded before it is added (no fused
+// multiply-add), so results are bit-identical to the scalar loops
+// whatever the thread count, and trajectories and golden pins do not
+// move. Other architectures, and builds with -tags purego, use the
+// scalar Go loop. The kernels charge nothing themselves: each engine
+// reports its own FLOPs and bytes to its device, so virtual time does
+// not depend on how fast the loops run.
+//
 // # Static invariants
 //
 // The properties this documentation promises are compiled into

@@ -92,6 +92,20 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 func (r *reader) remaining() int { return len(r.data) - r.off }
+
+// count reads a u32 element count and rejects one the remaining bytes
+// cannot hold at minSize bytes per element, before anything is sized
+// from it.
+func (r *reader) count(minSize int) (int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, err
+	}
+	if int(n) > r.remaining()/minSize {
+		return 0, fmt.Errorf("tf: count %d exceeds remaining payload", n)
+	}
+	return int(n), nil
+}
 func (r *reader) str() (string, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -301,7 +315,7 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 			}
 			shape[j] = int(int64(d))
 		}
-		nin, err := r.u32()
+		nin, err := r.count(4) // each input is a length-prefixed name
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +371,7 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 				}
 				attrs[key] = v != 0
 			case attrKindInts:
-				count, err := r.u32()
+				count, err := r.count(8)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package tf
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -65,6 +66,44 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	for _, cut := range []int{7, len(raw) / 2, len(raw) - 3} {
 		if _, err := UnmarshalGraph(raw[:cut]); err == nil {
 			t.Fatalf("truncated graph at %d accepted", cut)
+		}
+	}
+}
+
+// TestUnmarshalGraphRejectsHostileCounts encodes one node whose input
+// count, or whose int-list attribute length, is far beyond the payload:
+// both must fail before anything is sized from the count.
+func TestUnmarshalGraphRejectsHostileCounts(t *testing.T) {
+	node := func(tail func(w *writer)) []byte {
+		var w writer
+		w.buf.Write(graphMagic)
+		w.u32(1)
+		w.str("n")
+		w.str(OpConst)
+		w.u8(uint8(Float32))
+		w.u32(0) // rank
+		tail(&w)
+		return w.buf.Bytes()
+	}
+	for name, raw := range map[string][]byte{
+		"inputs": node(func(w *writer) { w.u32(0x7fffffff) }),
+		"int-list attr": node(func(w *writer) {
+			w.u32(0) // inputs
+			w.u32(1) // attrs
+			w.str("k")
+			w.u8(attrKindInts)
+			w.u32(0x7fffffff)
+		}),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalGraph(raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: hostile count accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte graph allocated %d bytes", name, len(raw), grew)
 		}
 	}
 }

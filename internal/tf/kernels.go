@@ -3,7 +3,8 @@ package tf
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"github.com/securetf/securetf/internal/kernels"
 )
 
 // execCtx is the per-Run evaluation context: computed values, forward
@@ -32,9 +33,9 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 // kernelFunc computes a node's output from its input tensors.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
-// kernels maps op names to implementations. Populated once at package
+// opKernels maps op names to implementations. Populated once at package
 // initialization and read-only afterwards.
-var kernels = map[string]kernelFunc{
+var opKernels = map[string]kernelFunc{
 	OpAdd:           kernelBinary(func(a, b float32) float32 { return a + b }),
 	OpSub:           kernelBinary(func(a, b float32) float32 { return a - b }),
 	OpMul:           kernelBinary(func(a, b float32) float32 { return a * b }),
@@ -167,7 +168,7 @@ func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	}
 	m, k, nn := a.Shape()[0], a.Shape()[1], b.Shape()[1]
 	out := NewTensor(Float32, Shape{m, nn})
-	matmulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
+	kernels.MatMul(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
 	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), a.Bytes()+b.Bytes()+out.Bytes(), false)
 	return out, nil
 }
@@ -184,39 +185,6 @@ func transpose2D(t *Tensor) *Tensor {
 	return out
 }
 
-// matmulInto computes C = A×B with row-parallelism across threads.
-func matmulInto(c, a, b []float32, m, k, n, threads int) {
-	rowsPer := m
-	if threads > 1 && m >= 2*threads {
-		rowsPer = (m + threads - 1) / threads
-	}
-	var wg sync.WaitGroup
-	for start := 0; start < m; start += rowsPer {
-		end := start + rowsPer
-		if end > m {
-			end = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				crow := c[i*n : (i+1)*n]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := b[kk*n : (kk+1)*n]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}(start, end)
-	}
-	wg.Wait()
-}
-
 func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x, bias := in[0], in[1]
 	c := bias.NumElements()
@@ -231,34 +199,13 @@ func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// convGeometry resolves convolution/pool geometry at run time.
-type convGeom struct {
-	n, h, w, c      int
-	kh, kw, f       int
-	stride          int
-	oh, ow          int
-	padTop, padLeft int
-}
-
-func conv2DGeom(x, filter *Tensor, stride int, padding string) (convGeom, error) {
+// conv2DGeom resolves a convolution's geometry at run time.
+func conv2DGeom(x, filter *Tensor, stride int, padding string) (kernels.ConvGeom, error) {
 	xs, fs := x.Shape(), filter.Shape()
 	if len(xs) != 4 || len(fs) != 4 || xs[3] != fs[2] {
-		return convGeom{}, fmt.Errorf("tf: Conv2D: runtime shapes %v, %v", xs, fs)
+		return kernels.ConvGeom{}, fmt.Errorf("tf: Conv2D: runtime shapes %v, %v", xs, fs)
 	}
-	geo := convGeom{
-		n: xs[0], h: xs[1], w: xs[2], c: xs[3],
-		kh: fs[0], kw: fs[1], f: fs[3],
-		stride: stride,
-		oh:     convOut(xs[1], fs[0], stride, padding),
-		ow:     convOut(xs[2], fs[1], stride, padding),
-	}
-	if padding == PaddingSame {
-		padH := max(0, (geo.oh-1)*stride+geo.kh-geo.h)
-		padW := max(0, (geo.ow-1)*stride+geo.kw-geo.w)
-		geo.padTop = padH / 2
-		geo.padLeft = padW / 2
-	}
-	return geo, nil
+	return kernels.NewConvGeom(xs[0], xs[1], xs[2], xs[3], fs[0], fs[1], fs[3], stride, padding == PaddingSame), nil
 }
 
 func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -267,56 +214,19 @@ func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.f})
-	xd, fd, od := x.f32, filter.f32, out.f32
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				outBase := ((b*geo.oh+oy)*geo.ow + ox) * geo.f
-				for ky := 0; ky < geo.kh; ky++ {
-					iy := oy*geo.stride + ky - geo.padTop
-					if iy < 0 || iy >= geo.h {
-						continue
-					}
-					for kx := 0; kx < geo.kw; kx++ {
-						ix := ox*geo.stride + kx - geo.padLeft
-						if ix < 0 || ix >= geo.w {
-							continue
-						}
-						inBase := ((b*geo.h+iy)*geo.w + ix) * geo.c
-						fBase := (ky*geo.kw + kx) * geo.c * geo.f
-						for cc := 0; cc < geo.c; cc++ {
-							xv := xd[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							fRow := fd[fBase+cc*geo.f : fBase+(cc+1)*geo.f]
-							oRow := od[outBase : outBase+geo.f]
-							for ff, fv := range fRow {
-								oRow[ff] += xv * fv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	flops := 2 * int64(geo.n) * int64(geo.oh) * int64(geo.ow) * int64(geo.f) * int64(geo.kh) * int64(geo.kw) * int64(geo.c)
+	out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.F})
+	kernels.Conv2D(out.f32, x.f32, filter.f32, geo)
+	flops := 2 * int64(geo.N) * int64(geo.OH) * int64(geo.OW) * int64(geo.F) * int64(geo.KH) * int64(geo.KW) * int64(geo.C)
 	ctx.charge(n, flops, x.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
-func poolGeom(x *Tensor, k, stride int) (convGeom, error) {
+func poolGeom(x *Tensor, k, stride int) (kernels.ConvGeom, error) {
 	xs := x.Shape()
 	if len(xs) != 4 {
-		return convGeom{}, fmt.Errorf("tf: pool: runtime shape %v", xs)
+		return kernels.ConvGeom{}, fmt.Errorf("tf: pool: runtime shape %v", xs)
 	}
-	return convGeom{
-		n: xs[0], h: xs[1], w: xs[2], c: xs[3],
-		kh: k, kw: k, stride: stride,
-		oh: convOut(xs[1], k, stride, PaddingValid),
-		ow: convOut(xs[2], k, stride, PaddingValid),
-	}, nil
+	return kernels.NewConvGeom(xs[0], xs[1], xs[2], xs[3], k, k, 0, stride, false), nil
 }
 
 func kernelMaxPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -325,32 +235,32 @@ func kernelMaxPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.c})
+	out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.C})
 	argmax := make([]int32, out.NumElements())
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				for cc := 0; cc < geo.c; cc++ {
+	for b := 0; b < geo.N; b++ {
+		for oy := 0; oy < geo.OH; oy++ {
+			for ox := 0; ox < geo.OW; ox++ {
+				for cc := 0; cc < geo.C; cc++ {
 					best := float32(math.Inf(-1))
 					bestIdx := -1
-					for ky := 0; ky < geo.kh; ky++ {
-						iy := oy*geo.stride + ky
-						if iy >= geo.h {
+					for ky := 0; ky < geo.KH; ky++ {
+						iy := oy*geo.Stride + ky
+						if iy >= geo.H {
 							continue
 						}
-						for kx := 0; kx < geo.kw; kx++ {
-							ix := ox*geo.stride + kx
-							if ix >= geo.w {
+						for kx := 0; kx < geo.KW; kx++ {
+							ix := ox*geo.Stride + kx
+							if ix >= geo.W {
 								continue
 							}
-							idx := ((b*geo.h+iy)*geo.w+ix)*geo.c + cc
+							idx := ((b*geo.H+iy)*geo.W+ix)*geo.C + cc
 							if x.f32[idx] > best {
 								best = x.f32[idx]
 								bestIdx = idx
 							}
 						}
 					}
-					oIdx := ((b*geo.oh+oy)*geo.ow+ox)*geo.c + cc
+					oIdx := ((b*geo.OH+oy)*geo.OW+ox)*geo.C + cc
 					out.f32[oIdx] = best
 					argmax[oIdx] = int32(bestIdx)
 				}
@@ -358,7 +268,7 @@ func kernelMaxPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		}
 	}
 	ctx.extras[n.name] = argmax
-	ctx.charge(n, int64(out.NumElements())*int64(geo.kh*geo.kw), x.Bytes()+out.Bytes(), false)
+	ctx.charge(n, int64(out.NumElements())*int64(geo.KH*geo.KW), x.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
@@ -368,35 +278,35 @@ func kernelAvgPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.c})
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				for cc := 0; cc < geo.c; cc++ {
+	out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.C})
+	for b := 0; b < geo.N; b++ {
+		for oy := 0; oy < geo.OH; oy++ {
+			for ox := 0; ox < geo.OW; ox++ {
+				for cc := 0; cc < geo.C; cc++ {
 					var sum float32
 					count := 0
-					for ky := 0; ky < geo.kh; ky++ {
-						iy := oy*geo.stride + ky
-						if iy >= geo.h {
+					for ky := 0; ky < geo.KH; ky++ {
+						iy := oy*geo.Stride + ky
+						if iy >= geo.H {
 							continue
 						}
-						for kx := 0; kx < geo.kw; kx++ {
-							ix := ox*geo.stride + kx
-							if ix >= geo.w {
+						for kx := 0; kx < geo.KW; kx++ {
+							ix := ox*geo.Stride + kx
+							if ix >= geo.W {
 								continue
 							}
-							sum += x.f32[((b*geo.h+iy)*geo.w+ix)*geo.c+cc]
+							sum += x.f32[((b*geo.H+iy)*geo.W+ix)*geo.C+cc]
 							count++
 						}
 					}
 					if count > 0 {
-						out.f32[((b*geo.oh+oy)*geo.ow+ox)*geo.c+cc] = sum / float32(count)
+						out.f32[((b*geo.OH+oy)*geo.OW+ox)*geo.C+cc] = sum / float32(count)
 					}
 				}
 			}
 		}
 	}
-	ctx.charge(n, int64(out.NumElements())*int64(geo.kh*geo.kw), x.Bytes()+out.Bytes(), false)
+	ctx.charge(n, int64(out.NumElements())*int64(geo.KH*geo.KW), x.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 

@@ -2,6 +2,8 @@ package tf
 
 import (
 	"fmt"
+
+	"github.com/securetf/securetf/internal/kernels"
 )
 
 // Gradient kernels. Several need values cached by the matching forward
@@ -78,15 +80,15 @@ func kernelAvgPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	out := NewTensor(Float32, x.Shape())
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				for cc := 0; cc < geo.c; cc++ {
+	for b := 0; b < geo.N; b++ {
+		for oy := 0; oy < geo.OH; oy++ {
+			for ox := 0; ox < geo.OW; ox++ {
+				for cc := 0; cc < geo.C; cc++ {
 					count := 0
-					for ky := 0; ky < geo.kh; ky++ {
-						if oy*geo.stride+ky < geo.h {
-							for kx := 0; kx < geo.kw; kx++ {
-								if ox*geo.stride+kx < geo.w {
+					for ky := 0; ky < geo.KH; ky++ {
+						if oy*geo.Stride+ky < geo.H {
+							for kx := 0; kx < geo.KW; kx++ {
+								if ox*geo.Stride+kx < geo.W {
 									count++
 								}
 							}
@@ -95,25 +97,25 @@ func kernelAvgPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 					if count == 0 {
 						continue
 					}
-					g := gradOut.f32[((b*geo.oh+oy)*geo.ow+ox)*geo.c+cc] / float32(count)
-					for ky := 0; ky < geo.kh; ky++ {
-						iy := oy*geo.stride + ky
-						if iy >= geo.h {
+					g := gradOut.f32[((b*geo.OH+oy)*geo.OW+ox)*geo.C+cc] / float32(count)
+					for ky := 0; ky < geo.KH; ky++ {
+						iy := oy*geo.Stride + ky
+						if iy >= geo.H {
 							continue
 						}
-						for kx := 0; kx < geo.kw; kx++ {
-							ix := ox*geo.stride + kx
-							if ix >= geo.w {
+						for kx := 0; kx < geo.KW; kx++ {
+							ix := ox*geo.Stride + kx
+							if ix >= geo.W {
 								continue
 							}
-							out.f32[((b*geo.h+iy)*geo.w+ix)*geo.c+cc] += g
+							out.f32[((b*geo.H+iy)*geo.W+ix)*geo.C+cc] += g
 						}
 					}
 				}
 			}
 		}
 	}
-	ctx.charge(n, int64(gradOut.NumElements())*int64(geo.kh*geo.kw), gradOut.Bytes()+out.Bytes(), false)
+	ctx.charge(n, int64(gradOut.NumElements())*int64(geo.KH*geo.KW), gradOut.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
@@ -125,24 +127,24 @@ func kernelConv2DGradInput(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 	}
 	out := NewTensor(Float32, x.Shape())
 	gd, fd, od := gradOut.f32, filter.f32, out.f32
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				gBase := ((b*geo.oh+oy)*geo.ow + ox) * geo.f
-				for ky := 0; ky < geo.kh; ky++ {
-					iy := oy*geo.stride + ky - geo.padTop
-					if iy < 0 || iy >= geo.h {
+	for b := 0; b < geo.N; b++ {
+		for oy := 0; oy < geo.OH; oy++ {
+			for ox := 0; ox < geo.OW; ox++ {
+				gBase := ((b*geo.OH+oy)*geo.OW + ox) * geo.F
+				for ky := 0; ky < geo.KH; ky++ {
+					iy := oy*geo.Stride + ky - geo.PadTop
+					if iy < 0 || iy >= geo.H {
 						continue
 					}
-					for kx := 0; kx < geo.kw; kx++ {
-						ix := ox*geo.stride + kx - geo.padLeft
-						if ix < 0 || ix >= geo.w {
+					for kx := 0; kx < geo.KW; kx++ {
+						ix := ox*geo.Stride + kx - geo.PadLeft
+						if ix < 0 || ix >= geo.W {
 							continue
 						}
-						inBase := ((b*geo.h+iy)*geo.w + ix) * geo.c
-						fBase := (ky*geo.kw + kx) * geo.c * geo.f
-						for cc := 0; cc < geo.c; cc++ {
-							fRow := fd[fBase+cc*geo.f : fBase+(cc+1)*geo.f]
+						inBase := ((b*geo.H+iy)*geo.W + ix) * geo.C
+						fBase := (ky*geo.KW + kx) * geo.C * geo.F
+						for cc := 0; cc < geo.C; cc++ {
+							fRow := fd[fBase+cc*geo.F : fBase+(cc+1)*geo.F]
 							var sum float32
 							for ff, fv := range fRow {
 								sum += gd[gBase+ff] * fv
@@ -154,7 +156,7 @@ func kernelConv2DGradInput(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 			}
 		}
 	}
-	flops := 2 * int64(geo.n) * int64(geo.oh) * int64(geo.ow) * int64(geo.f) * int64(geo.kh) * int64(geo.kw) * int64(geo.c)
+	flops := 2 * int64(geo.N) * int64(geo.OH) * int64(geo.OW) * int64(geo.F) * int64(geo.KH) * int64(geo.KW) * int64(geo.C)
 	ctx.charge(n, flops, gradOut.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
 }
@@ -167,38 +169,36 @@ func kernelConv2DGradFilter(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error
 	}
 	out := NewTensor(Float32, filter.Shape())
 	gd, xd, od := gradOut.f32, x.f32, out.f32
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				gBase := ((b*geo.oh+oy)*geo.ow + ox) * geo.f
-				for ky := 0; ky < geo.kh; ky++ {
-					iy := oy*geo.stride + ky - geo.padTop
-					if iy < 0 || iy >= geo.h {
+	for b := 0; b < geo.N; b++ {
+		for oy := 0; oy < geo.OH; oy++ {
+			for ox := 0; ox < geo.OW; ox++ {
+				gBase := ((b*geo.OH+oy)*geo.OW + ox) * geo.F
+				gRow := gd[gBase : gBase+geo.F]
+				for ky := 0; ky < geo.KH; ky++ {
+					iy := oy*geo.Stride + ky - geo.PadTop
+					if iy < 0 || iy >= geo.H {
 						continue
 					}
-					for kx := 0; kx < geo.kw; kx++ {
-						ix := ox*geo.stride + kx - geo.padLeft
-						if ix < 0 || ix >= geo.w {
+					for kx := 0; kx < geo.KW; kx++ {
+						ix := ox*geo.Stride + kx - geo.PadLeft
+						if ix < 0 || ix >= geo.W {
 							continue
 						}
-						inBase := ((b*geo.h+iy)*geo.w + ix) * geo.c
-						fBase := (ky*geo.kw + kx) * geo.c * geo.f
-						for cc := 0; cc < geo.c; cc++ {
+						inBase := ((b*geo.H+iy)*geo.W + ix) * geo.C
+						fBase := (ky*geo.KW + kx) * geo.C * geo.F
+						for cc := 0; cc < geo.C; cc++ {
 							xv := xd[inBase+cc]
 							if xv == 0 {
 								continue
 							}
-							oRow := od[fBase+cc*geo.f : fBase+(cc+1)*geo.f]
-							for ff := range oRow {
-								oRow[ff] += xv * gd[gBase+ff]
-							}
+							kernels.Axpy(xv, gRow, od[fBase+cc*geo.F:fBase+(cc+1)*geo.F])
 						}
 					}
 				}
 			}
 		}
 	}
-	flops := 2 * int64(geo.n) * int64(geo.oh) * int64(geo.ow) * int64(geo.f) * int64(geo.kh) * int64(geo.kw) * int64(geo.c)
+	flops := 2 * int64(geo.N) * int64(geo.OH) * int64(geo.OW) * int64(geo.F) * int64(geo.KH) * int64(geo.KW) * int64(geo.C)
 	ctx.charge(n, flops, gradOut.Bytes()+x.Bytes()+out.Bytes(), false)
 	return out, nil
 }

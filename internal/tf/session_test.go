@@ -3,6 +3,10 @@ package tf
 import (
 	"math"
 	"testing"
+
+	"github.com/securetf/securetf/internal/device"
+	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/vtime"
 )
 
 func run1(t *testing.T, s *Session, feeds Feeds, fetch *Node, opts ...RunOption) *Tensor {
@@ -89,6 +93,33 @@ func TestMatMul(t *testing.T) {
 	want := mustTensor(t, Shape{2, 2}, []float32{58, 64, 139, 154})
 	if !AllClose(got, want, 1e-5) {
 		t.Fatalf("MatMul = %v", got.Floats())
+	}
+}
+
+// TestMatMulBitsIndependentOfThreads runs the same product (with zero
+// inputs) on 1- and 4-thread devices: row partitioning
+// must not change any output bit, or trajectories would depend on the
+// device's thread count.
+func TestMatMulBitsIndependentOfThreads(t *testing.T) {
+	g := NewGraph()
+	a := RandNormal(Shape{37, 300}, 1, 11)
+	for i := range a.f32 {
+		if i%5 == 0 {
+			a.f32[i] = 0
+		}
+	}
+	prod := g.MatMul(g.Const("a", a), g.Const("b", RandNormal(Shape{300, 70}, 1, 12)))
+	var results []*Tensor
+	for _, threads := range []int{1, 4} {
+		dev := device.NewCPU("host", sgx.DefaultParams(), new(vtime.Clock), threads, device.LibcGlibcFactor)
+		s := NewSession(g, WithDevice(dev))
+		results = append(results, run1(t, s, nil, prod))
+		s.Close()
+	}
+	for i, v := range results[0].f32 {
+		if math.Float32bits(v) != math.Float32bits(results[1].f32[i]) {
+			t.Fatalf("element %d: %v at 1 thread, %v at 4 threads", i, v, results[1].f32[i])
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func Unmarshal(data []byte) (*Model, error) {
 	}
 	r := &byteReader{data: data, off: len(modelMagic)}
 	m := &Model{}
-	nt, err := r.u32()
+	nt, err := r.count(minTensorBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func Unmarshal(data []byte) (*Model, error) {
 		}
 		t.Scale = math.Float64frombits(bits)
 	}
-	nb, err := r.u32()
+	nb, err := r.count(4)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func Unmarshal(data []byte) (*Model, error) {
 			return nil, err
 		}
 	}
-	no, err := r.u32()
+	no, err := r.count(minOpBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -367,13 +367,32 @@ func (r *byteReader) str() (string, error) {
 	return string(b), err
 }
 
-func (r *byteReader) intSlice() ([]int, error) {
+// The smallest encodings of a tensor spec (empty name and shape) and an
+// op spec (empty index lists): a count of either beyond what the
+// remaining bytes could hold is corruption, not an allocation size.
+const (
+	minTensorBytes = 4 + 1 + 4 + 4 + 8
+	minOpBytes     = 3 + 4 + 4 + 3*4 + 8
+)
+
+// count reads a u32 element count and rejects one the remaining bytes
+// cannot hold at minSize bytes per element, before anything is sized
+// from it.
+func (r *byteReader) count(minSize int) (int, error) {
 	n, err := r.u32()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if int(n) > (len(r.data)-r.off)/8 {
-		return nil, io.ErrUnexpectedEOF
+	if int(n) > (len(r.data)-r.off)/minSize {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return int(n), nil
+}
+
+func (r *byteReader) intSlice() ([]int, error) {
+	n, err := r.count(8)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int, n)
 	for i := range out {

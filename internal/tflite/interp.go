@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"github.com/securetf/securetf/internal/device"
+	"github.com/securetf/securetf/internal/kernels"
 	"github.com/securetf/securetf/internal/tf"
 )
 
@@ -258,20 +259,8 @@ func (ip *Interpreter) runFullyConnected(op *OpSpec) (*tf.Tensor, error) {
 	}
 	m, k, n := xs[0], xs[1], ws[1]
 	out := tf.NewTensor(tf.Float32, tf.Shape{m, n})
-	xd, wd, od := x.Floats(), w.Floats(), out.Floats()
-	for i := 0; i < m; i++ {
-		for kk := 0; kk < k; kk++ {
-			xv := xd[i*k+kk]
-			if xv == 0 {
-				continue
-			}
-			wrow := wd[kk*n : (kk+1)*n]
-			orow := od[i*n : (i+1)*n]
-			for j, wv := range wrow {
-				orow[j] += xv * wv
-			}
-		}
-	}
+	od := out.Floats()
+	kernels.MatMul(od, x.Floats(), w.Floats(), m, k, n, 1)
 	if len(op.Inputs) > 2 {
 		b, err := ip.weight(op.Inputs[2])
 		if err != nil {
@@ -303,57 +292,14 @@ func (ip *Interpreter) runConv2D(op *OpSpec) (*tf.Tensor, error) {
 	if len(xs) != 4 || len(fs) != 4 || xs[3] != fs[2] {
 		return nil, fmt.Errorf("shapes %v, %v", xs, fs)
 	}
-	batch, h, w, cin := xs[0], xs[1], xs[2], xs[3]
-	kh, kw, cout := fs[0], fs[1], fs[3]
 	stride := op.Stride
 	if stride < 1 {
 		stride = 1
 	}
-	var oh, ow, padTop, padLeft int
-	if op.Padding == PadSame {
-		oh = (h + stride - 1) / stride
-		ow = (w + stride - 1) / stride
-		padH := maxInt(0, (oh-1)*stride+kh-h)
-		padW := maxInt(0, (ow-1)*stride+kw-w)
-		padTop, padLeft = padH/2, padW/2
-	} else {
-		oh = (h-kh)/stride + 1
-		ow = (w-kw)/stride + 1
-	}
-	out := tf.NewTensor(tf.Float32, tf.Shape{batch, oh, ow, cout})
-	xd, fd, od := x.Floats(), f.Floats(), out.Floats()
-	for b := 0; b < batch; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				outBase := ((b*oh+oy)*ow + ox) * cout
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - padTop
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - padLeft
-						if ix < 0 || ix >= w {
-							continue
-						}
-						inBase := ((b*h+iy)*w + ix) * cin
-						fBase := (ky*kw + kx) * cin * cout
-						for cc := 0; cc < cin; cc++ {
-							xv := xd[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							frow := fd[fBase+cc*cout : fBase+(cc+1)*cout]
-							orow := od[outBase : outBase+cout]
-							for j, fv := range frow {
-								orow[j] += xv * fv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	geo := kernels.NewConvGeom(xs[0], xs[1], xs[2], xs[3], fs[0], fs[1], fs[3], stride, op.Padding == PadSame)
+	out := tf.NewTensor(tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.F})
+	od := out.Floats()
+	kernels.Conv2D(od, x.Floats(), f.Floats(), geo)
 	if len(op.Inputs) > 2 {
 		bt, err := ip.weight(op.Inputs[2])
 		if err != nil {
@@ -361,11 +307,11 @@ func (ip *Interpreter) runConv2D(op *OpSpec) (*tf.Tensor, error) {
 		}
 		bd := bt.Floats()
 		for i := range od {
-			od[i] += bd[i%cout]
+			od[i] += bd[i%geo.F]
 		}
 	}
 	applyActivation(op.Activation, od)
-	flops := 2 * int64(batch) * int64(oh) * int64(ow) * int64(cout) * int64(kh) * int64(kw) * int64(cin)
+	flops := 2 * int64(geo.N) * int64(geo.OH) * int64(geo.OW) * int64(geo.F) * int64(geo.KH) * int64(geo.KW) * int64(geo.C)
 	ip.charge(op, flops, x.Bytes()+out.Bytes(), f.Bytes())
 	return out, nil
 }
@@ -528,11 +474,4 @@ func (ip *Interpreter) runArgMax(op *OpSpec) (*tf.Tensor, error) {
 	}
 	ip.charge(op, int64(x.NumElements()), x.Bytes(), 0)
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

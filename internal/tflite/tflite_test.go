@@ -1,7 +1,9 @@
 package tflite
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/securetf/securetf/internal/device"
@@ -189,6 +191,38 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	for _, cut := range []int{6, len(raw) / 3, len(raw) - 2} {
 		if _, err := Unmarshal(raw[:cut]); err == nil {
 			t.Fatalf("truncated model at %d accepted", cut)
+		}
+	}
+}
+
+// TestUnmarshalRejectsHostileCounts feeds element counts far beyond the
+// file's length: each must fail before anything is sized from it. The
+// first input is 9 bytes that used to request a 128 GiB tensor table.
+func TestUnmarshalRejectsHostileCounts(t *testing.T) {
+	huge := binary.LittleEndian.AppendUint32(nil, 0x7fffffff)
+	empty := binary.LittleEndian.AppendUint32(nil, 0)
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for name, raw := range map[string][]byte{
+		"tensors": cat(modelMagic, huge),
+		"buffers": cat(modelMagic, empty, huge),
+		"ops":     cat(modelMagic, empty, empty, huge),
+		"inputs":  cat(modelMagic, empty, empty, empty, huge),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: hostile count accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte model allocated %d bytes", name, len(raw), grew)
 		}
 	}
 }
