@@ -356,7 +356,11 @@
 // multiply-add), so results are bit-identical to the scalar loops
 // whatever the thread count, and trajectories and golden pins do not
 // move. Other architectures, and builds with -tags purego, use the
-// scalar Go loop. The kernels charge nothing themselves: each engine
+// scalar Go loop. The same package adds and subtracts the federated
+// secure-aggregation masks: AddLE64/SubLE64 add a chunk of AES-CTR
+// keystream, read as little-endian 64-bit words, into the update's ring
+// words with SSE2 PADDQ/PSUBQ (wraparound, so bit-identical to the
+// scalar loop). The kernels charge nothing themselves: each engine
 // reports its own FLOPs and bytes to its device, so virtual time does
 // not depend on how fast the loops run.
 //

@@ -38,7 +38,10 @@
 // post-quantization in the integer domain (uint64 wraparound, truncated
 // to the codec's ring width on the wire), so cancellation is bit-exact
 // — the masked aggregate is identical to the unmasked one, which the
-// sum-only property test pins.
+// sum-only property test pins. Mask words are never materialized: each
+// pair's keystream is drawn 4 KiB at a time and its little-endian words
+// are added into (or subtracted from) the update words chunk by chunk,
+// through internal/kernels' AddLE64/SubLE64 in the 8-byte ring.
 //
 // # Codec interaction
 //

@@ -378,9 +378,15 @@ func churnSpec(turnstile bool) jobSpec {
 // variables from all three: ring sums are order-independent and the
 // drop schedule forces the quorum membership, so goroutine scheduling
 // must not leak into the result.
+//
+// The rejoin count is checked on the turnstile run only. Free-threaded,
+// a client scheduled to drop in the final round may first poll after
+// the other survivors have closed that round; it is then told training
+// is complete and never drops, so its count measures goroutine
+// scheduling, not the protocol.
 func TestFederatedChurnDeterministic(t *testing.T) {
-	ordered, orderedStats, _ := runJob(t, churnSpec(true))
-	free1, stats1, clientStats := runJob(t, churnSpec(false))
+	ordered, orderedStats, clientStats := runJob(t, churnSpec(true))
+	free1, stats1, _ := runJob(t, churnSpec(false))
 	free2, stats2, _ := runJob(t, churnSpec(false))
 	assertSameVars(t, "turnstile vs free-threaded", ordered, free1)
 	assertSameVars(t, "free-threaded repeat", free1, free2)

@@ -1,8 +1,10 @@
 package federated
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"github.com/securetf/securetf/internal/kernels"
 	"github.com/securetf/securetf/internal/seccrypto"
 )
 
@@ -27,24 +29,42 @@ func maskPRG(seed seccrypto.Key, round uint64) *seccrypto.PRG {
 	return seccrypto.NewPRG(seccrypto.HKDF(seed[:], saltMask, fmt.Sprintf("round %d", round)))
 }
 
-// maskWords draws the next n mask words of the given ring width from
-// the pair's stream. The stream is consumed variable-by-variable in
-// sorted manifest order, so both ends of the pair — and the coordinator
-// during dropout recovery — walk identical words.
-func maskWords(g *seccrypto.PRG, n, width int) []uint64 {
-	words := make([]uint64, n)
-	if width == 2 {
-		buf := make([]byte, 2*n)
-		g.Read(buf)
-		for i := range words {
-			words[i] = uint64(buf[2*i]) | uint64(buf[2*i+1])<<8
+// maskChunk is the keystream one expansion step draws: 4 KiB stays in
+// L1 while its words are added into the update, so no mask is ever
+// materialized at the size of a variable.
+const maskChunk = 4 << 10
+
+// streamMask walks the pair stream g over the named variables in the
+// given (sorted manifest) order and adds each mask word into the
+// matching update word, or subtracts it when add is false. The stream
+// is consumed variable by variable, little-endian words of the ring
+// width, so both ends of the pair — and the coordinator during dropout
+// recovery — walk identical words.
+func streamMask(vars map[string][]uint64, names []string, width int, g *seccrypto.PRG, add bool) {
+	chunk := make([]byte, maskChunk)
+	per := maskChunk / width
+	for _, name := range names {
+		for words := vars[name]; len(words) > 0; {
+			n := min(len(words), per)
+			buf := chunk[:n*width]
+			g.Read(buf)
+			switch {
+			case width == 8 && add:
+				kernels.AddLE64(words[:n], buf)
+			case width == 8:
+				kernels.SubLE64(words[:n], buf)
+			case add:
+				for i := range words[:n] {
+					words[i] += uint64(binary.LittleEndian.Uint16(buf[2*i:]))
+				}
+			default:
+				for i := range words[:n] {
+					words[i] -= uint64(binary.LittleEndian.Uint16(buf[2*i:]))
+				}
+			}
+			words = words[n:]
 		}
-		return words
 	}
-	for i := range words {
-		words[i] = g.Uint64()
-	}
-	return words
 }
 
 // applyPairMasks blinds one client's encoded words in place with the
@@ -60,22 +80,8 @@ func maskWords(g *seccrypto.PRG, n, width int) []uint64 {
 func applyPairMasks(updates map[string][]uint64, names []string, width int,
 	secret []byte, self uint32, cohort []uint32, round uint64) {
 	for _, peer := range cohort {
-		if peer == self {
-			continue
-		}
-		g := maskPRG(pairSeed(secret, self, peer), round)
-		for _, name := range names {
-			words := updates[name]
-			mask := maskWords(g, len(words), width)
-			if self < peer {
-				for i := range words {
-					words[i] += mask[i]
-				}
-			} else {
-				for i := range words {
-					words[i] -= mask[i]
-				}
-			}
+		if peer != self {
+			streamMask(updates, names, width, maskPRG(pairSeed(secret, self, peer), round), self < peer)
 		}
 	}
 }
@@ -87,18 +93,5 @@ func applyPairMasks(updates map[string][]uint64, names []string, width int,
 // sum.
 func subtractDeadMasks(acc map[string][]uint64, names []string, width int,
 	seed seccrypto.Key, survivor, dead uint32, round uint64) {
-	g := maskPRG(seed, round)
-	for _, name := range names {
-		words := acc[name]
-		mask := maskWords(g, len(words), width)
-		if survivor < dead {
-			for i := range words {
-				words[i] -= mask[i]
-			}
-		} else {
-			for i := range words {
-				words[i] += mask[i]
-			}
-		}
-	}
+	streamMask(acc, names, width, maskPRG(seed, round), survivor > dead)
 }

@@ -1,6 +1,8 @@
 // Package kernels holds the dense float32 inner loops shared by the tf
 // and tflite engines: an axpy (y += a·x), a weight-streaming matrix
 // product and a direct NHWC convolution, over plain []float32 slices.
+// It also holds the ring add and subtract that federated secure
+// aggregation applies its keystream masks with (AddLE64, SubLE64).
 //
 // Every kernel keeps the engines' results bit-identical to a naive
 // scalar loop. Each output element sums its products in ascending order
@@ -8,7 +10,8 @@
 // every product is rounded before it is added: the amd64 Axpy uses SSE2
 // MULPS then ADDPS, never a fused multiply-add. MatMul and Conv2D skip
 // zero inputs, so a zero never meets an infinite or NaN weight. On other
-// architectures, and with -tags purego, Axpy is the scalar Go loop.
+// architectures, and with -tags purego, Axpy, AddLE64 and SubLE64 are
+// the scalar Go loops.
 //
 // The kernels charge nothing: each engine reports the work to its own
 // device, so virtual time does not depend on how the loops run.

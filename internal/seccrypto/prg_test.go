@@ -1,6 +1,11 @@
 package seccrypto
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"testing"
+)
 
 func TestPRGDeterministic(t *testing.T) {
 	key := HKDF([]byte("seed material"), "prg-test", "stream")
@@ -80,5 +85,72 @@ func TestPRGPermIsPermutation(t *testing.T) {
 		if p[i] != q[i] {
 			t.Fatal("Perm is not deterministic for a fixed key")
 		}
+	}
+}
+
+// TestPRGOneStream checks that random interleavings of Read (of every
+// size, including ones that split words and span the carry) and Uint64
+// return exactly the bytes of one long Read.
+func TestPRGOneStream(t *testing.T) {
+	key := HKDF([]byte("seed"), "prg-test", "one stream")
+	const total = 64 << 10
+	want := make([]byte, total)
+	NewPRG(key).Read(want)
+	mix := NewPRG(HKDF([]byte("seed"), "prg-test", "interleaving"))
+	for trial := 0; trial < 20; trial++ {
+		g := NewPRG(key)
+		got := make([]byte, 0, total)
+		for len(got)+8 <= total-(9<<10) {
+			if mix.Intn(2) == 0 {
+				got = binary.LittleEndian.AppendUint64(got, g.Uint64())
+				continue
+			}
+			var n int
+			switch mix.Intn(3) {
+			case 0:
+				n = mix.Intn(9)
+			case 1:
+				n = mix.Intn(600)
+			default:
+				n = mix.Intn(9 << 10)
+			}
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = 0xa5 // Read must overwrite, not XOR into, p
+			}
+			g.Read(p)
+			got = append(got, p...)
+		}
+		if !bytes.Equal(got, want[:len(got)]) {
+			t.Fatalf("trial %d: interleaved draws diverge from one Read", trial)
+		}
+	}
+}
+
+// TestPRGPinned pins Uint64, Intn and Perm for fixed keys. Cohort
+// sampling, top-k patterns and fault plans are drawn from these, so a
+// change here changes every seeded trajectory.
+func TestPRGPinned(t *testing.T) {
+	g := NewPRG(HKDF([]byte("pin"), "prg-test", "uint64"))
+	var words []uint64
+	for i := 0; i < 70; i++ { // crosses a 512-byte refill
+		w := g.Uint64()
+		if i < 3 || i >= 63 {
+			words = append(words, w)
+		}
+	}
+	g = NewPRG(HKDF([]byte("pin"), "prg-test", "intn"))
+	var ints []int
+	for _, n := range []int{1, 2, 3, 7, 10, 1000, 1 << 40} {
+		ints = append(ints, g.Intn(n))
+	}
+	perm := NewPRG(HKDF([]byte("pin"), "prg-test", "perm")).Perm(12)
+	got := fmt.Sprint(words, ints, perm)
+	const want = "[13662112589339350099 13426160509152768062 13932747980414088614 " +
+		"6846714327192530446 11726619337846934045 10700742412494718884 8786747905034816684 " +
+		"13516033773831029190 14037019251758025839 14696030444599634579] " +
+		"[0 0 2 6 7 682 817665798668] [10 0 4 2 6 11 3 8 5 9 7 1]"
+	if got != want {
+		t.Fatalf("PRG outputs changed:\n got %s\nwant %s", got, want)
 	}
 }

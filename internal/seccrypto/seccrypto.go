@@ -135,15 +135,21 @@ func HKDF(ikm []byte, salt, info string) Key {
 // parties holding the same key produce byte-identical streams, which is
 // what the federated secure-aggregation masks and the per-round client
 // sampling rely on — no math/rand, no global state, no RNG on hot
-// paths. A PRG is NOT safe for concurrent use; derive one per
-// goroutine.
+// paths. Read and Uint64 walk one byte stream: however the calls
+// interleave, together they return the stream's bytes in order. A PRG
+// is NOT safe for concurrent use; derive one per goroutine.
 type PRG struct {
 	stream cipher.Stream
-	// buf holds one carry word for Uint64, refilled 512 bytes at a time
-	// so short reads do not pay per-call CTR setup.
-	buf []byte
-	off int
+	// carry holds keystream Uint64 drew ahead of the caller, so word
+	// draws do not pay per-call CTR setup; its last left bytes are
+	// unread, and Read hands them out before drawing fresh keystream.
+	carry [512]byte
+	left  int
 }
+
+// zeroBlock is the all-zero plaintext the keystream is XORed from. It
+// is never written.
+var zeroBlock [4 << 10]byte
 
 // NewPRG returns a deterministic generator over the given key.
 func NewPRG(key Key) *PRG {
@@ -156,25 +162,27 @@ func NewPRG(key Key) *PRG {
 	return &PRG{stream: cipher.NewCTR(block, iv[:])}
 }
 
-// Read fills p with deterministic pseudo-random bytes. It never fails.
+// Read fills p with the next len(p) bytes of the stream, overwriting
+// whatever p held. It never fails.
 func (g *PRG) Read(p []byte) {
-	for i := range p {
-		p[i] = 0
+	n := copy(p, g.carry[len(g.carry)-g.left:])
+	g.left -= n
+	for p = p[n:]; len(p) > 0; {
+		k := min(len(p), len(zeroBlock))
+		g.stream.XORKeyStream(p[:k], zeroBlock[:k])
+		p = p[k:]
 	}
-	g.stream.XORKeyStream(p, p)
 }
 
-// Uint64 returns the next 64-bit word of the stream.
+// Uint64 returns the next 8 bytes of the stream as a little-endian word.
 func (g *PRG) Uint64() uint64 {
-	if g.off == len(g.buf) {
-		if g.buf == nil {
-			g.buf = make([]byte, 512)
-		}
-		g.Read(g.buf)
-		g.off = 0
+	if g.left < 8 {
+		copy(g.carry[:], g.carry[len(g.carry)-g.left:])
+		g.stream.XORKeyStream(g.carry[g.left:], zeroBlock[:len(g.carry)-g.left])
+		g.left = len(g.carry)
 	}
-	v := binary.LittleEndian.Uint64(g.buf[g.off:])
-	g.off += 8
+	v := binary.LittleEndian.Uint64(g.carry[len(g.carry)-g.left:])
+	g.left -= 8
 	return v
 }
 
